@@ -1,25 +1,26 @@
-"""Fleet front door: scatter-gather for batches, round-robin for the rest.
+"""Fleet front door: one dealt data path for batches, failover for the rest.
 
 :class:`FleetProxy` puts one port in front of a
 :class:`~repro.serving.fleet.FleetSupervisor`'s worker processes:
 
-* streamed ``POST /assign`` bodies are **dealt while they upload**: the
-  proxy opens one lane per worker and forwards each request frame the
-  moment it arrives (oversized identity frames are resliced into
-  zero-copy row views first, so one giant frame still spreads), which
-  overlaps the client's upload with every worker's compute — the fleet
-  multiplies batch throughput instead of merely taking turns. Frames
-  are retained by reference only: a lane whose worker dies mid-stream
-  replays its frames to the next worker, and the gathered label frames
-  are stitched back in deal order before the first response byte, so
-  the concatenation is exactly what a single worker would have
-  produced. Buffered npy bodies are split into contiguous balanced
-  row runs (``np.frombuffer`` views, never copied) instead. The
-  response names every worker that contributed
-  (``X-Fleet-Worker: 0,1,...``) plus the serving version; a version
-  skew across lanes (a rollout landing mid-scatter) is retried as a
-  buffered scatter and finally degrades to a single-worker run — one
-  response must never mix labels from two models;
+* npy and streamed ``POST /assign`` bodies are **dealt** to worker
+  lanes. A streamed body is dealt while it uploads: the proxy opens one
+  lane per worker and forwards each request frame the moment it arrives
+  (oversized identity frames are resliced into zero-copy row views
+  first, so one giant frame still spreads), which overlaps the client's
+  upload with every worker's compute. A buffered npy body is a
+  one-frame stream: its rows are dealt the same way and the stitched
+  label frames go back as one npy array. Frames are retained by
+  reference only: a lane whose worker dies mid-stream replays its
+  frames to the next worker, and the gathered label frames are stitched
+  back in deal order before the first response byte, so the answer is
+  exactly what a single worker would have produced. The response names
+  every worker that contributed (``X-Fleet-Worker: 0,1,...``) plus the
+  serving version. A lane that runs out of workers, or lanes that
+  disagree on the version (a rollout landing mid-deal), degrade down one
+  ladder: re-deal once through a fresh dealer, then through a single
+  lane, then a typed 503 with ``Retry-After`` — one response must never
+  mix labels from two models;
 * JSON ``POST /assign``, ``GET /healthz`` and ``GET /model`` are
   forwarded round-robin; a worker that is mid-restart (connection
   refused / dropped) is skipped and the request transparently retried
@@ -34,11 +35,14 @@
   proxy would fork the fleet's serving version around the canary
   process. Rollouts go through ``/admin/rollout``.
 
-Failover leans on :class:`~repro.serving.client.ServingClient`'s
-transparent reconnect: a stale keep-alive to a restarted worker is
-retried once on a fresh connection, and only a genuinely unreachable
-worker (:class:`~repro.serving.client.ServingUnavailableError`) moves
-the request (or the scattered run) to the next one.
+Every hop to a worker — a forwarded request or one dealt lane — runs
+through :meth:`FleetProxy.call_with_failover`, the one loop that walks
+worker targets. It leans on
+:class:`~repro.serving.client.ServingClient`'s transparent reconnect: a
+stale keep-alive to a restarted worker is retried once on a fresh
+connection, and only a genuinely unreachable worker
+(:class:`~repro.serving.client.ServingUnavailableError`) moves the hop
+to the next one.
 """
 
 from __future__ import annotations
@@ -50,15 +54,15 @@ import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from ..faults.plan import FaultInjector
 from ..obs import metrics as obs_metrics
 from ..obs import prometheus as obs_prometheus
-from ..obs.trace import TRACE_HEADER, PARENT_HEADER, TraceSink, get_sink, start_span
+from ..obs.trace import PARENT_HEADER, TRACE_HEADER, TraceSink, get_sink, start_span
 from . import wire
 from .client import (
     ServingClient,
@@ -75,28 +79,39 @@ from .server import (
     VERSION_HEADER,
     ConnectionTrackingServer,
     ServingError,
-    _BoundedBodyReader,
-    _ChunkedBodyReader,
+    _BaseHandler,
     _HTTPChunkWriter,
-    _TelemetryMixin,
 )
 
 #: Response header naming the worker index(es) that served the request.
 WORKER_HEADER = "X-Fleet-Worker"
 
-#: npy batches below this many rows per additional worker are not split:
-#: the per-run HTTP round trip would cost more than the parallel compute
-#: saves, and small requests are better served round-robin.
-MIN_SCATTER_ROWS = 2048
-
-#: A new stream lane (worker) opens only once every existing lane has
-#: this many payload bytes — tiny streams stay on one worker for the
-#: same reason tiny npy bodies do.
+#: A new lane (worker) opens only once every existing lane has this
+#: many payload bytes: for tiny batches the extra HTTP round trip would
+#: cost more than the parallel compute saves.
 MIN_DEAL_BYTES = 512 * 1024
 
 #: Identity frames larger than this are resliced into row views before
 #: dealing, so a single giant frame still spreads across the fleet.
 DEAL_SLICE_BYTES = 512 * 1024
+
+#: One dealt lane's answer: ``(worker, version, codec, distances,
+#: label_payloads)``.
+_LaneResult = tuple[int, str, str, bool, list[bytes]]
+
+
+@dataclass
+class _Hop:
+    """One failover attempt, as :meth:`FleetProxy.call_with_failover`
+    prepared it: the worker, a leased client, the deadline and trace
+    headers to send, and the hop span (``None`` when untraced)."""
+
+    index: int
+    url: str
+    client: ServingClient
+    headers: dict[str, str]
+    span: Any
+    replay: bool
 
 
 class FleetProxy(ConnectionTrackingServer):
@@ -191,11 +206,10 @@ class FleetProxy(ConnectionTrackingServer):
             self.metrics.register_collector(obs_metrics.fault_collector(fault_injector))
         self._rr = 0
         self._rr_lock = threading.Lock()
-        self._local = threading.local()
         self._pool_lock = threading.Lock()
         self._client_pool: dict[str, list[ServingClient]] = {}
-        # One long-lived executor for all scatters: spawning threads per
-        # request would put milliseconds of setup on the hot path.
+        # One long-lived executor for all dealt lanes: spawning threads
+        # per request would put milliseconds of setup on the hot path.
         self._scatter_pool = ThreadPoolExecutor(
             max_workers=32, thread_name_prefix="repro-scatter"
         )
@@ -237,26 +251,13 @@ class FleetProxy(ConnectionTrackingServer):
         demoted = [target for target in rotated if target not in allowed]
         return allowed + demoted
 
-    def client_for(self, index: int, url: str) -> ServingClient:
-        """Per-thread keep-alive client for one worker (forward path)."""
-        cache: dict[tuple[int, str], ServingClient] | None
-        cache = getattr(self._local, "clients", None)
-        if cache is None:
-            cache = self._local.clients = {}
-        key = (index, url)
-        if key not in cache:
-            # reconnect_wait=0: one clean retry per worker, then fail
-            # over to the next one — a mid-restart worker should cost
-            # milliseconds, not a restart-window stall.
-            cache[key] = ServingClient(url=url, timeout=30.0)
-        return cache[key]
-
     def lease_client(self, url: str) -> ServingClient:
-        """Check a keep-alive client out of the scatter pool.
+        """Check a keep-alive client for one worker out of the pool.
 
-        Scatter runs execute on short-lived executor threads, so a
-        thread-local cache would reconnect on every request; a shared
-        pool keyed by worker url keeps the connections warm instead.
+        Every hop leases from this one pool keyed by worker url, so
+        connections stay warm whichever thread (handler or lane) makes
+        the hop. The client's default ``reconnect_wait=0`` gives one
+        clean retry per worker before failing over to the next one.
         """
         with self._pool_lock:
             pooled = self._client_pool.get(url)
@@ -265,9 +266,77 @@ class FleetProxy(ConnectionTrackingServer):
         return ServingClient(url=url, timeout=30.0)
 
     def release_client(self, url: str, client: ServingClient) -> None:
-        """Return a leased client to the pool for the next scatter."""
+        """Return a leased client to the pool for the next hop."""
         with self._pool_lock:
             self._client_pool.setdefault(url, []).append(client)
+
+    def call_with_failover(
+        self,
+        targets: list[tuple[int, str]],
+        attempt: Callable[[_Hop], Any],
+        *,
+        span: str,
+        deadline: Deadline | None = None,
+        trace_id: str | None = None,
+        parent_id: str | None = None,
+        **attrs: Any,
+    ) -> Any:
+        """Run *attempt* against each ``(index, url)`` target until one answers.
+
+        The one loop that walks worker targets. Before each attempt it
+        checks the request deadline, opens the hop span (*span*, with
+        ``worker``, ``replay`` and *attrs*), stamps the remaining budget
+        and the trace context into ``hop.headers``, and leases a pooled
+        client, released afterwards. The outcome lands on the lane's
+        breaker and the lane counters. An unreachable worker
+        (:class:`ServingUnavailableError`) moves on to the next target;
+        a timeout is recorded and raised, since re-running a stalled
+        request on every worker would multiply the load and still fail.
+        Any other error, such as a worker's typed 4xx, propagates as is.
+
+        Raises:
+            ServingTimeoutError: the deadline ran out or a worker stalled.
+            ServingUnavailableError: no target answered.
+        """
+        last_error: Exception | None = None
+        for position, (index, url) in enumerate(targets):
+            if deadline is not None and deadline.expired:
+                raise ServingTimeoutError("request deadline exhausted during failover")
+            headers: dict[str, str] = {}
+            if deadline is not None:
+                headers[DEADLINE_HEADER] = deadline.header_value()
+            hop_span = start_span(self.trace_sink, span, trace_id, parent_id)
+            if trace_id:
+                # The hop's own span id becomes the downstream parent,
+                # so worker spans hang off the hop that carried them.
+                headers[TRACE_HEADER] = trace_id
+                parent = hop_span.span_id if hop_span is not None else parent_id
+                if parent:
+                    headers[PARENT_HEADER] = parent
+            if hop_span is not None:
+                hop_span.set(worker=index, replay=position > 0, **attrs)
+            hop = _Hop(index, url, self.lease_client(url), headers, hop_span, position > 0)
+            try:
+                result = attempt(hop)
+            except Exception as exc:
+                if hop_span is not None:
+                    hop_span.finish(error=type(exc).__name__)
+                if not isinstance(exc, (ServingUnavailableError, ServingTimeoutError)):
+                    raise
+                self.breakers.failure(url)
+                self._m_lane_failures.labels(target=str(index)).inc()
+                if isinstance(exc, ServingTimeoutError):
+                    raise
+                last_error = exc
+                continue  # worker mid-restart: fail over to the next one
+            finally:
+                self.release_client(url, hop.client)
+            self.breakers.success(url)
+            self._m_lane_requests.labels(target=str(index)).inc()
+            if hop_span is not None:
+                hop_span.finish()
+            return result
+        raise ServingUnavailableError(f"no reachable fleet worker: {last_error}")
 
     # ------------------------------------------------------------------ #
     # Telemetry                                                           #
@@ -308,22 +377,9 @@ class FleetProxy(ConnectionTrackingServer):
         return obs_prometheus.merge_scrapes(scrapes)
 
 
-def _split_runs(count: int, ways: int) -> list[tuple[int, int]]:
-    """Split ``range(count)`` into up to *ways* contiguous, balanced runs."""
-    ways = max(1, min(ways, count)) if count else 1
-    base, extra = divmod(count, ways)
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for i in range(ways):
-        stop = start + base + (1 if i < extra else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
-
-
 class _ScatterSkew(Exception):
-    """Lanes answered with different serving versions (rollout landed
-    mid-deal); the caller replays the batch as a buffered scatter."""
+    """Lanes answered with different serving versions (a rollout landed
+    mid-deal); the handler re-deals the batch."""
 
 
 class _InjectedDisconnect(ConnectionError):
@@ -375,78 +431,84 @@ class _Dealer:
 
     One lane per worker, opened lazily: a new lane starts only when
     every open lane already holds :data:`MIN_DEAL_BYTES`, so small
-    streams stay on one worker (the extra HTTP round trips would cost
+    batches stay on one worker (the extra HTTP round trips would cost
     more than the parallelism saves). Oversized identity frames are
     resliced into zero-copy row views first so one giant frame still
-    spreads. ``finish()`` gathers every lane and raises
+    spreads. ``lanes`` caps the lane count (the one-lane rung of the
+    degradation ladder). ``finish()`` gathers every lane and raises
     :class:`_ScatterSkew` if a rollout split the lanes across versions.
     """
 
-    def __init__(self, server: FleetProxy) -> None:
-        self._server = server
-        self._codec = "identity"
-        self._accept: str | None = None
-        self._distances = False
-        self._deadline: Deadline | None = None
-        self._trace_id: str | None = None
-        self._parent_id: str | None = None
-        self._targets: list[tuple[int, str]] = []
-        self._sources: list[_ReplaySource] = []
-        self._futures: list[Any] = []
-        self._bytes: list[int] = []
-        self._order: list[int] = []
-
-    @property
-    def order(self) -> list[int]:
-        """Lane index per dealt item, in deal order."""
-        return self._order
-
-    def open(
+    def __init__(
         self,
+        server: FleetProxy,
         *,
         codec: str,
-        accept: str | None,
-        distances: bool,
+        accept: str | None = None,
+        distances: bool = False,
         deadline: Deadline | None = None,
         trace_id: str | None = None,
         parent_id: str | None = None,
+        lanes: int | None = None,
     ) -> None:
+        self._server = server
         self._codec = codec
         self._accept = accept
         self._distances = distances
         self._deadline = deadline
         self._trace_id = trace_id
         self._parent_id = parent_id
-        self._targets = self._server.target_order()
+        self._targets = server.target_order()
         if not self._targets:
             raise ServingError(
-                503,
-                "no reachable fleet worker",
-                retry_after_s=self._server.breaker_reset_s,
+                503, "no reachable fleet worker", retry_after_s=server.breaker_reset_s
             )
+        self._max_lanes = min(lanes or len(self._targets), len(self._targets))
+        self._sources: list[_ReplaySource] = []
+        self._futures: list[Any] = []
+        self._bytes: list[int] = []
+        self._order: list[int] = []
 
-    def deal(self, payload: bytes) -> None:
-        """Forward one request frame to a lane (reslicing if oversized)."""
-        if self._codec == "identity" and len(payload) > DEAL_SLICE_BYTES:
+    def again(self, *, lanes: int | None = None) -> "_Dealer":
+        """A fresh dealer for the same request, over a fresh target order."""
+        return _Dealer(
+            self._server,
+            codec=self._codec,
+            accept=self._accept,
+            distances=self._distances,
+            deadline=self._deadline,
+            trace_id=self._trace_id,
+            parent_id=self._parent_id,
+            lanes=lanes,
+        )
+
+    def deal(self, item: bytes | np.ndarray) -> None:
+        """Forward one request frame — raw payload bytes or an array of
+        rows — to a lane, reslicing it first if oversized."""
+        array = item if isinstance(item, np.ndarray) else None
+        if array is None and self._codec == "identity" and len(item) > DEAL_SLICE_BYTES:
             try:
-                array = wire.decode_npy(payload)
+                array = wire.decode_npy(item)
             except wire.WireError:
-                array = None
-            if array is not None and array.ndim == 2 and array.shape[0] > 1:
-                rows = max(
-                    1, DEAL_SLICE_BYTES // max(1, array.nbytes // array.shape[0])
-                )
-                for start in range(0, array.shape[0], rows):
-                    self._deal_item(array[start : start + rows])
-                return
-        self._deal_item(payload)
+                pass
+        if (
+            array is not None
+            and array.ndim == 2
+            and array.shape[0] > 1
+            and array.nbytes > DEAL_SLICE_BYTES
+        ):
+            rows = max(1, DEAL_SLICE_BYTES // (array.nbytes // array.shape[0]))
+            for start in range(0, array.shape[0], rows):
+                self._deal_item(array[start : start + rows])
+            return
+        self._deal_item(item)
 
-    def _deal_item(self, item: Any) -> None:
+    def _deal_item(self, item: bytes | np.ndarray) -> None:
         size = item.nbytes if isinstance(item, np.ndarray) else len(item)
         if self._bytes:
             lane = min(range(len(self._bytes)), key=self._bytes.__getitem__)
             if (
-                len(self._sources) < len(self._targets)
+                len(self._sources) < self._max_lanes
                 and self._bytes[lane] >= MIN_DEAL_BYTES
             ):
                 lane = self._open_lane()
@@ -470,7 +532,7 @@ class _Dealer:
 
     def _run_lane(
         self, lane: int, source: _ReplaySource, targets: list[tuple[int, str]]
-    ) -> tuple[int, str, str, bool, list[bytes]]:
+    ) -> _LaneResult:
         injector = self._server.fault_injector
         site = f"proxy.lane{lane}.frame"
 
@@ -504,71 +566,33 @@ class _Dealer:
 
             return body
 
-        last_error: Exception | None = None
-        breakers = self._server.breakers
-        for attempt, (index, url) in enumerate(targets):
-            if self._deadline is not None and self._deadline.expired:
-                raise ServingTimeoutError(
-                    "request deadline exhausted during dealt scatter"
-                )
-            if attempt > 0:
+        def attempt(hop: _Hop) -> _LaneResult:
+            if hop.replay:
                 # This lane's previous worker died mid-stream: the
                 # frames are being replayed onto a replacement.
                 self._server._m_lane_replays.inc()
-            if injector is not None and injector.poisoned(url):
-                last_error = ServingUnavailableError(f"poisoned lane url {url}")
-                breakers.failure(url)
-                self._server._m_lane_failures.labels(target=str(index)).inc()
-                continue
-            headers: dict[str, str] = {}
-            if self._deadline is not None:
-                headers[DEADLINE_HEADER] = self._deadline.header_value()
-            span = start_span(
-                self._server.trace_sink, "proxy.lane", self._trace_id, self._parent_id
+            if injector is not None and injector.poisoned(hop.url):
+                raise ServingUnavailableError(f"poisoned lane url {hop.url}")
+            version, codec, distances, payloads = _stream_exchange(
+                hop.client, body_for(hop.url), headers=hop.headers,
+                deadline=self._deadline,
             )
-            if self._trace_id:
-                headers[TRACE_HEADER] = self._trace_id
-                parent = span.span_id if span is not None else self._parent_id
-                if parent:
-                    headers[PARENT_HEADER] = parent
-            if span is not None:
-                span.set(lane=lane, worker=index, replay=attempt > 0)
-            client = self._server.lease_client(url)
-            try:
-                version, codec, distances, payloads = _stream_exchange(
-                    client, body_for(url), headers=headers or None,
-                    deadline=self._deadline,
-                )
-            except ServingUnavailableError as exc:
-                breakers.failure(url)
-                self._server._m_lane_failures.labels(target=str(index)).inc()
-                if span is not None:
-                    span.finish(error=type(exc).__name__)
-                last_error = exc
-                continue  # worker mid-restart: replay the lane elsewhere
-            except ServingTimeoutError as exc:
-                breakers.failure(url)
-                self._server._m_lane_failures.labels(target=str(index)).inc()
-                if span is not None:
-                    span.finish(error=type(exc).__name__)
-                raise
-            finally:
-                self._server.release_client(url, client)
-            breakers.success(url)
-            self._server._m_lane_requests.labels(target=str(index)).inc()
-            if span is not None:
-                span.finish(
-                    codec=codec,
-                    bytes=self._bytes[lane] if lane < len(self._bytes) else 0,
-                    version=version,
-                )
+            if hop.span is not None:
+                hop.span.set(codec=codec, bytes=self._bytes[lane], version=version)
             if injector is not None:
                 skew = injector.fire("proxy.lane.version")
                 if skew is not None and skew.kind == "skew":
                     version = f"{version}+skewed"
-            return index, version, codec, distances, payloads
-        raise ServingUnavailableError(
-            f"no reachable fleet worker for dealt lane: {last_error}"
+            return hop.index, version, codec, distances, payloads
+
+        return self._server.call_with_failover(
+            targets,
+            attempt,
+            span="proxy.lane",
+            deadline=self._deadline,
+            trace_id=self._trace_id,
+            parent_id=self._parent_id,
+            lane=lane,
         )
 
     def abort(self) -> None:
@@ -581,7 +605,7 @@ class _Dealer:
         for source in self._sources:
             source.close()
 
-    def finish(self) -> tuple[list[tuple[int, str, str, bool, list[bytes]]], list[int]]:
+    def finish(self) -> tuple[list[_LaneResult], list[int]]:
         """Close the lanes and gather ``(results, deal_order)``.
 
         An empty stream still opens one lane so the response carries a
@@ -592,14 +616,13 @@ class _Dealer:
         for source in self._sources:
             source.close()
         results = [future.result() for future in self._futures]
-        if len({result[1] for result in results}) > 1:
-            raise _ScatterSkew()
+        versions = {result[1] for result in results}
+        if len(versions) > 1:
+            raise _ScatterSkew(f"lanes answered with versions {sorted(versions)}")
         return results, self._order
 
 
-def _dealt_payloads(
-    results: list[tuple[int, str, str, bool, list[bytes]]], order: list[int]
-) -> list[tuple[bytes, str]]:
+def _dealt_payloads(results: list[_LaneResult], order: list[int]) -> list[tuple[bytes, str]]:
     """Stitch lane responses back into deal order.
 
     Each dealt item produced one label frame (plus one distances frame
@@ -629,8 +652,7 @@ def _dealt_payloads(
     return pairs
 
 
-class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _ProxyHandler(_BaseHandler):
     server: FleetProxy  # narrowed for type checkers
 
     _METRIC_PATHS = frozenset(
@@ -645,105 +667,6 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
             "/admin/metrics",
         }
     )
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if not self.server.quiet:
-            super().log_message(format, *args)
-
-    # -- plumbing ------------------------------------------------------ #
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        extra: dict[str, str] | None = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self, status: int, payload: dict[str, Any], extra: dict[str, str] | None = None
-    ) -> None:
-        self._send(
-            status, json.dumps(payload).encode("utf-8"), "application/json", extra
-        )
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            raise ServingError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length) if length else b""
-
-    def _fail(self, exc: Exception) -> None:
-        status = exc.status if isinstance(exc, ServingError) else 400
-        extra: dict[str, str] | None = None
-        retry_after = getattr(exc, "retry_after_s", None)
-        if retry_after is not None:
-            extra = {"Retry-After": str(max(1, round(retry_after)))}
-        self._send_json(status, {"error": str(exc)}, extra)
-
-    def _request_deadline(self) -> Deadline | None:
-        """Parse + pre-enforce the ``X-Deadline-Ms`` budget at ingress.
-
-        The same budget object is decremented across every downstream
-        hop this request makes (lanes, failovers, scatter retries) —
-        each hop sends the *remaining* milliseconds.
-        """
-        try:
-            deadline = Deadline.from_header(self.headers.get(DEADLINE_HEADER))
-        except ValueError as exc:
-            raise ServingError(
-                400, f"invalid {DEADLINE_HEADER} header: {exc}"
-            ) from None
-        if deadline is not None and deadline.expired:
-            self.close_connection = True
-            raise ServingError(504, "deadline exhausted before processing")
-        return deadline
-
-    def _drain_body(self, body: Any) -> None:
-        """Consume the rest of a request body after a failure."""
-        budget = MAX_BODY_BYTES
-        try:
-            while budget > 0:
-                piece = body.read(min(65536, budget))
-                if not piece:
-                    return
-                budget -= len(piece)
-        except Exception:
-            pass
-        self.close_connection = True
-
-    def _hop_span(self, name: str) -> Any:
-        """Open a child span for one downstream hop (None when untraced)."""
-        return start_span(
-            self.server.trace_sink,
-            name,
-            getattr(self, "_trace_id", None),
-            getattr(self, "_parent_span", None),
-        )
-
-    def _trace_headers(self, headers: dict[str, str], span: Any) -> None:
-        """Propagate this request's trace context onto a downstream hop.
-
-        The hop's own span id becomes the downstream parent, so worker
-        spans hang off the proxy hop that carried them.
-        """
-        trace_id = getattr(self, "_trace_id", None)
-        if not trace_id:
-            return
-        headers[TRACE_HEADER] = trace_id
-        parent = (
-            span.span_id if span is not None else getattr(self, "_parent_span", None)
-        )
-        if parent:
-            headers[PARENT_HEADER] = parent
 
     # -- endpoints ----------------------------------------------------- #
 
@@ -810,63 +733,43 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
     def _forward(self, method: str, body: bytes | None) -> None:
         content_type = self.headers.get("Content-Type", "application/json")
         deadline = self._request_deadline()
-        breakers = self.server.breakers
-        for index, url in self.server.target_order():
-            if deadline is not None and deadline.expired:
-                raise ServingError(504, "deadline exhausted during failover")
-            request_headers: dict[str, str] = {}
-            if deadline is not None:
-                request_headers[DEADLINE_HEADER] = deadline.header_value()
-            span = self._hop_span("proxy.forward")
-            if span is not None:
-                span.set(worker=index, path=self.path)
-            self._trace_headers(request_headers, span)
-            client = self.server.client_for(index, url)
-            try:
-                status, headers, payload = client.request_raw(
-                    method, self.path, body, content_type,
-                    headers=request_headers or None,
-                )
-            except ServingTimeoutError as exc:
-                # The worker is alive but not answering — count it
-                # against the lane's breaker (a hung worker must stop
-                # eating one timeout per request), then surface the 504:
-                # re-running the same request on every other worker
-                # would multiply the load fleet-wide and still be
-                # reported as a failure.
-                breakers.failure(url)
-                self.server._m_lane_failures.labels(target=str(index)).inc()
-                if span is not None:
-                    span.finish(error=type(exc).__name__)
-                raise ServingError(504, str(exc)) from exc
-            except ServingUnavailableError as exc:
-                breakers.failure(url)
-                self.server._m_lane_failures.labels(target=str(index)).inc()
-                if span is not None:
-                    span.finish(error=type(exc).__name__)
-                continue  # worker mid-restart: fail over to the next one
-            breakers.success(url)
-            self.server._m_lane_requests.labels(target=str(index)).inc()
-            if span is not None:
-                span.finish(status=status, bytes=len(payload))
-            extra = {WORKER_HEADER: str(index)}
-            version = headers.get(VERSION_HEADER)
-            if version is not None:
-                extra[VERSION_HEADER] = version
-            self._send(
-                status,
-                payload,
-                headers.get("Content-Type", "application/json"),
-                extra,
+        path = self.path
+
+        def attempt(hop: _Hop) -> tuple[int, int, dict[str, str], bytes]:
+            status, headers, payload = hop.client.request_raw(
+                method, path, body, content_type, headers=hop.headers
             )
-            return
-        raise ServingError(
-            503,
-            "no reachable fleet worker",
-            retry_after_s=self.server.breaker_reset_s,
+            if hop.span is not None:
+                hop.span.set(status=status, bytes=len(payload))
+            return hop.index, status, headers, payload
+
+        try:
+            index, status, headers, payload = self.server.call_with_failover(
+                self.server.target_order(),
+                attempt,
+                span="proxy.forward",
+                deadline=deadline,
+                trace_id=self._trace_id,
+                parent_id=self._parent_span,
+                path=path,
+            )
+        except ServingTimeoutError as exc:
+            raise ServingError(504, str(exc)) from exc
+        except ServingUnavailableError:
+            raise ServingError(
+                503,
+                "no reachable fleet worker",
+                retry_after_s=self.server.breaker_reset_s,
+            ) from None
+        extra = {WORKER_HEADER: str(index)}
+        version = headers.get(VERSION_HEADER)
+        if version is not None:
+            extra[VERSION_HEADER] = version
+        self._send(
+            status, payload, headers.get("Content-Type", "application/json"), extra
         )
 
-    # -- scatter-gather ------------------------------------------------- #
+    # -- dealt path ----------------------------------------------------- #
 
     def _do_assign(self) -> None:
         content_type = self.headers.get("Content-Type", "application/json")
@@ -877,7 +780,9 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
         else:
             mode = "forward"
         start = time.perf_counter()
-        span = self._hop_span("proxy.assign")
+        span = start_span(
+            self.server.trace_sink, "proxy.assign", self._trace_id, self._parent_span
+        )
         if span is not None:
             # Lane and forward spans hang off the ingress span.
             self._parent_span = span.span_id
@@ -889,7 +794,7 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
                 self._scatter_npy(self._request_deadline())
             else:
                 # JSON stays round-robin: it is the interop path, and
-                # its decimal round trip dwarfs any scatter win.
+                # its decimal round trip dwarfs any dealing win.
                 self._forward("POST", body=self._read_body())
         except BaseException as exc:
             if span is not None:
@@ -903,14 +808,48 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
                 time.perf_counter() - start
             )
 
-    def _stream_body_reader(self) -> Any:
-        if self.headers.get("Transfer-Encoding", "").lower() == "chunked":
-            return _ChunkedBodyReader(self.rfile, MAX_BODY_BYTES)
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            raise ServingError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return _BoundedBodyReader(self.rfile, length)
+    def _dealer(self, deadline: Deadline | None, **options: Any) -> _Dealer:
+        return _Dealer(
+            self.server,
+            deadline=deadline,
+            trace_id=self._trace_id,
+            parent_id=self._parent_span,
+            **options,
+        )
+
+    def _gather(
+        self, dealer: _Dealer, items: list[Any]
+    ) -> tuple[list[_LaneResult], list[tuple[bytes, str]]]:
+        """Gather *dealer*'s lanes, degrading down the ladder.
+
+        A lane that ran out of workers, or lanes that answered with
+        different versions, re-deal the retained *items* once through a
+        fresh dealer, then through a single lane (one worker can only
+        answer with one version), and finally answer a typed 503 with
+        ``Retry-After``. Returns the lane results and the stitched
+        ``(payload, lane_codec)`` pairs.
+        """
+        failure: Exception | None = None
+        # Lane cap per rung: as dealt, re-dealt on every lane, one lane.
+        for rung, lanes in enumerate((None, None, 1)):
+            if rung:
+                dealer = dealer.again(lanes=lanes)
+                for item in items:
+                    dealer.deal(item)
+            try:
+                results, order = dealer.finish()
+                return results, _dealt_payloads(results, order)
+            except (ServingUnavailableError, _ScatterSkew) as exc:
+                failure = exc
+            except ServingTimeoutError as exc:
+                raise ServingError(504, str(exc)) from exc
+            except ServingClientError as exc:
+                raise ServingError(exc.status, str(exc)) from exc
+        raise ServingError(
+            503,
+            f"fleet could not answer the batch consistently ({failure}); retry",
+            retry_after_s=self.server.breaker_reset_s,
+        )
 
     def _scatter_stream(self, deadline: Deadline | None = None) -> None:
         """Deal a streamed request across the fleet as it uploads.
@@ -918,82 +857,42 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
         Each frame is forwarded to a worker lane the moment it arrives,
         so every worker's compute overlaps the client's upload — the
         pipelining that makes the fleet a multiplier rather than a
-        buffered double-hop. Frames are retained by reference for two
-        rare paths only: a lane whose worker dies replays them to the
-        next worker, and a version skew across lanes (rollout landing
-        mid-scatter) re-runs the whole batch as a buffered scatter,
-        degrading to a single worker if the fleet is still mid-move.
+        buffered double-hop. Frames are retained by reference for the
+        rare re-deal rungs of :meth:`_gather`.
         """
         body = self._stream_body_reader()
-        dealer = _Dealer(self.server)
+        dealer: _Dealer | None = None
         frames: list[bytes] = []
         try:
             reader = wire.StreamReader(body.read, max_total_bytes=MAX_BODY_BYTES)
             reader.read_header()
-            dealer.open(
+            dealer = self._dealer(
+                deadline,
                 codec=reader.codec,
                 accept=reader.accept,
                 distances=reader.distances,
-                deadline=deadline,
-                trace_id=getattr(self, "_trace_id", None),
-                parent_id=getattr(self, "_parent_span", None),
             )
             for payload in reader.raw_frames():
                 frames.append(payload)
                 dealer.deal(payload)
-        except wire.WireError as exc:
-            dealer.abort()
+        except Exception as exc:
+            if dealer is not None:
+                dealer.abort()
             self._drain_body(body)
-            raise ServingError(400, str(exc)) from None
-        except Exception:
-            dealer.abort()
-            self._drain_body(body)
+            if isinstance(exc, wire.WireError):
+                raise ServingError(400, str(exc)) from None
             raise
         self._drain_body(body)
+        results, pairs = self._gather(dealer, frames)
 
-        try:
-            results, order = dealer.finish()
-            pairs = _dealt_payloads(results, order)
-        except (ServingUnavailableError, _ScatterSkew):
-            # Rare path: a lane ran out of workers, or a rollout split
-            # the lanes across versions. Replay the (referenced) frames
-            # as a buffered contiguous scatter, which retries and then
-            # degrades to a single worker.
-            gathered = self._scatter(
-                len(frames),
-                lambda span, targets: self._relay_run(
-                    frames[span[0] : span[1]],
-                    targets,
-                    codec=reader.codec,
-                    accept=reader.accept,
-                    distances=reader.distances,
-                    deadline=deadline,
-                ),
-            )
-            results = gathered
-            pairs = [
-                (payload, run_codec)
-                for _, _, run_codec, _, payloads in gathered
-                for payload in payloads
-            ]
-        except ServingTimeoutError as exc:
-            raise ServingError(504, str(exc)) from exc
-        except ServingClientError as exc:
-            raise ServingError(exc.status, str(exc)) from exc
-
-        version = results[0][1]
-        workers = ",".join(
-            dict.fromkeys(str(result[0]) for result in results)
-        )
         # One stream, one codec: recode stragglers to the first lane's
         # codec (identical negotiation makes this a no-op in practice).
-        response_codec = results[0][2]
-        response_distances = results[0][3]
+        _, version, response_codec, response_distances, _ = results[0]
         self.send_response(200)
         self.send_header("Content-Type", STREAM_CONTENT_TYPE)
         self.send_header("Transfer-Encoding", "chunked")
         self.send_header(VERSION_HEADER, version)
-        self.send_header(WORKER_HEADER, workers)
+        self.send_header(WORKER_HEADER, _workers(results))
         self.end_headers()
         writer = _HTTPChunkWriter(self.wfile)
         writer.write(
@@ -1009,225 +908,35 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
         writer.close()
 
     def _scatter_npy(self, deadline: Deadline | None = None) -> None:
-        """Scatter one npy body by row spans; gather one npy response."""
-        raw = self._read_body()
+        """Deal one npy body as a one-frame stream; answer one npy array.
+
+        A ``(d,)`` body is promoted to one row, as a worker's
+        ``Assigner`` (and in-process ``predict``) would.
+        """
         try:
-            points = wire.decode_npy(raw)  # zero-copy row views
+            points = np.atleast_2d(wire.decode_npy(self._read_body()))
         except wire.WireError as exc:
             raise ServingError(400, f"invalid npy payload: {exc}") from None
         if points.ndim != 2:
             raise ServingError(400, f"points must be 2-D, got shape {points.shape}")
-
-        # Tiny batches stay on one worker: a scattered 100-row request
-        # would pay per-run HTTP overhead on every worker for no win.
-        gathered = self._scatter(
-            points.shape[0],
-            lambda span, targets: self._assign_run(
-                points[span[0] : span[1]], targets, deadline=deadline
-            ),
-            max_ways=max(1, points.shape[0] // MIN_SCATTER_ROWS),
-        )
-        version = gathered[0][1]
-        workers = ",".join(str(result[0]) for result in gathered)
-        labels = np.concatenate([result[2] for result in gathered])
+        dealer = self._dealer(deadline, codec="identity")
+        dealer.deal(points)
+        results, pairs = self._gather(dealer, [points])
+        # An identity request without ``accept`` gets identity frames back.
+        labels = np.concatenate([wire.decode_npy(payload) for payload, _ in pairs])
         out = io.BytesIO()
         np.save(out, labels, allow_pickle=False)
         self._send(
             200,
             out.getvalue(),
             NPY_CONTENT_TYPE,
-            {VERSION_HEADER: version, WORKER_HEADER: workers},
+            {VERSION_HEADER: results[0][1], WORKER_HEADER: _workers(results)},
         )
 
-    def _scatter(
-        self, count: int, run_one: Any, *, max_ways: int | None = None
-    ) -> list[tuple]:
-        """Dispatch contiguous runs concurrently; gather in order.
 
-        ``run_one(span, targets)`` executes one run against a rotated
-        target list and returns a tuple starting ``(worker_index,
-        version, ...)``. The gather is complete before any response
-        byte is written, which keeps failover simple: a failed run
-        retries on the next worker without the client seeing a partial
-        response. A version skew across runs (rollout mid-scatter) is
-        retried once against the post-rollout fleet; if the fleet is
-        still mid-move the batch degrades to a single-worker run — one
-        response must never mix two models' labels, but a rollout in
-        flight must not turn into client-visible 503s either.
-        """
-        versions: set[str] = set()
-        for attempt in (0, 1, 2):
-            targets = self.server.target_order()
-            if not targets:
-                raise ServingError(
-                    503,
-                    "no reachable fleet worker",
-                    retry_after_s=self.server.breaker_reset_s,
-                )
-            ways = len(targets) if attempt < 2 else 1
-            if max_ways is not None:
-                ways = min(ways, max(1, max_ways))
-            spans = _split_runs(count, ways)
-            rotations = [
-                targets[i % len(targets) :] + targets[: i % len(targets)]
-                for i in range(len(spans))
-            ]
-            try:
-                if len(spans) == 1:
-                    gathered = [run_one(spans[0], rotations[0])]
-                else:
-                    gathered = list(
-                        self.server._scatter_pool.map(run_one, spans, rotations)
-                    )
-            except ServingUnavailableError as exc:
-                raise ServingError(503, str(exc)) from exc
-            except ServingTimeoutError as exc:
-                raise ServingError(504, str(exc)) from exc
-            except ServingClientError as exc:
-                raise ServingError(exc.status, str(exc)) from exc
-            versions = {result[1] for result in gathered}
-            if len(versions) == 1:
-                return gathered
-            # A rollout landed mid-scatter: retry once against the
-            # post-rollout fleet, then fall back to a single run (a
-            # single worker can only answer with a single version).
-        raise ServingError(
-            503,
-            f"fleet version skew during scatter ({sorted(versions)}); retry",
-            retry_after_s=self.server.breaker_reset_s,
-        )
-
-    def _relay_run(
-        self,
-        frames: list[bytes],
-        targets: list[tuple[int, str]],
-        *,
-        codec: str,
-        accept: str | None,
-        distances: bool,
-        deadline: Deadline | None = None,
-    ) -> tuple[int, str, str, bool, list[bytes]]:
-        """One frame-relay run with failover; returns
-        ``(worker, version, response_codec, distances, payloads)``."""
-
-        def body() -> Any:
-            def pieces() -> Any:
-                yield wire.encode_header(codec, accept=accept, distances=distances)
-                for payload in frames:
-                    yield wire.frame_payload(payload)
-                yield wire.terminator()
-
-            return pieces()
-
-        return self._run_with_failover(body, targets, deadline=deadline)
-
-    def _run_with_failover(
-        self,
-        body: Any,
-        targets: list[tuple[int, str]],
-        *,
-        deadline: Deadline | None = None,
-    ) -> tuple[int, str, str, bool, list[bytes]]:
-        last_error: Exception | None = None
-        breakers = self.server.breakers
-        for attempt, (index, url) in enumerate(targets):
-            if deadline is not None and deadline.expired:
-                raise ServingTimeoutError(
-                    "request deadline exhausted during scatter failover"
-                )
-            headers: dict[str, str] = {}
-            if deadline is not None:
-                headers[DEADLINE_HEADER] = deadline.header_value()
-            span = self._hop_span("proxy.lane")
-            if span is not None:
-                span.set(worker=index, replay=attempt > 0)
-            self._trace_headers(headers, span)
-            client = self.server.lease_client(url)
-            try:
-                version, response_codec, response_distances, payloads = (
-                    _stream_exchange(
-                        client, body, headers=headers or None, deadline=deadline
-                    )
-                )
-            except ServingUnavailableError as exc:
-                breakers.failure(url)
-                self.server._m_lane_failures.labels(target=str(index)).inc()
-                if span is not None:
-                    span.finish(error=type(exc).__name__)
-                last_error = exc
-                continue  # worker mid-restart: try the next one
-            except ServingTimeoutError as exc:
-                breakers.failure(url)
-                self.server._m_lane_failures.labels(target=str(index)).inc()
-                if span is not None:
-                    span.finish(error=type(exc).__name__)
-                raise
-            finally:
-                self.server.release_client(url, client)
-            breakers.success(url)
-            self.server._m_lane_requests.labels(target=str(index)).inc()
-            if span is not None:
-                span.finish(codec=response_codec, version=version)
-            return index, version, response_codec, response_distances, payloads
-        raise ServingUnavailableError(
-            f"no reachable fleet worker for scattered run: {last_error}"
-        )
-
-    def _assign_run(
-        self,
-        span_points: np.ndarray,
-        targets: list[tuple[int, str]],
-        *,
-        deadline: Deadline | None = None,
-    ) -> tuple[int, str, np.ndarray]:
-        """One npy run via the streamed client; returns
-        ``(worker, version, labels)``."""
-        last_error: Exception | None = None
-        breakers = self.server.breakers
-        for attempt, (index, url) in enumerate(targets):
-            if deadline is not None and deadline.expired:
-                raise ServingTimeoutError(
-                    "request deadline exhausted during scatter failover"
-                )
-            hop_span = self._hop_span("proxy.lane")
-            if hop_span is not None:
-                hop_span.set(
-                    worker=index, replay=attempt > 0, rows=int(span_points.shape[0])
-                )
-            request_headers: dict[str, str] = {}
-            self._trace_headers(request_headers, hop_span)
-            client = self.server.lease_client(url)
-            try:
-                response = client.assign_stream(
-                    span_points,
-                    deadline_ms=(
-                        deadline.remaining_ms() if deadline is not None else None
-                    ),
-                    headers=request_headers or None,
-                )
-            except ServingUnavailableError as exc:
-                breakers.failure(url)
-                self.server._m_lane_failures.labels(target=str(index)).inc()
-                if hop_span is not None:
-                    hop_span.finish(error=type(exc).__name__)
-                last_error = exc
-                continue
-            except ServingTimeoutError as exc:
-                breakers.failure(url)
-                self.server._m_lane_failures.labels(target=str(index)).inc()
-                if hop_span is not None:
-                    hop_span.finish(error=type(exc).__name__)
-                raise
-            finally:
-                self.server.release_client(url, client)
-            breakers.success(url)
-            self.server._m_lane_requests.labels(target=str(index)).inc()
-            if hop_span is not None:
-                hop_span.finish(version=response.version)
-            return index, response.version, response.labels
-        raise ServingUnavailableError(
-            f"no reachable fleet worker for scattered run: {last_error}"
-        )
+def _workers(results: list[_LaneResult]) -> str:
+    """``X-Fleet-Worker`` value: every contributing worker, once, in lane order."""
+    return ",".join(dict.fromkeys(str(result[0]) for result in results))
 
 
 def _stream_exchange(

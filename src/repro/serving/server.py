@@ -695,59 +695,125 @@ class _TelemetryMixin:
             ).inc()
 
 
-class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server: AssignmentServer  # narrowed for type checkers
+class _BaseHandler(_TelemetryMixin, BaseHTTPRequestHandler):
+    """Plumbing shared by the assignment server's and the proxy's handlers.
 
-    # -- plumbing ------------------------------------------------------ #
+    The owning server must expose ``quiet`` besides the telemetry
+    members :class:`_TelemetryMixin` needs.
+    """
+
+    protocol_version = "HTTP/1.1"
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.server.quiet:
             super().log_message(format, *args)
 
-    def address_string(self) -> str:
-        client = self.client_address
-        # AF_UNIX peers have no (host, port) pair — client_address is ''.
-        return client[0] if isinstance(client, tuple) and client else "uds"
-
     def _send(
-        self, status: int, body: bytes, content_type: str, version: str | None = None
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        extra: dict[str, str] | None = None,
     ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if version is not None:
-            self.send_header(VERSION_HEADER, version)
+        for name, value in (extra or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
     def _send_json(
-        self, status: int, payload: dict[str, Any], version: str | None = None
+        self, status: int, payload: dict[str, Any], extra: dict[str, str] | None = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send(status, body, "application/json", version)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            # The body stays unread; close the connection after the 413
-            # so a keep-alive client cannot desynchronize on the leftover
-            # bytes being parsed as the next request line.
-            self.close_connection = True
-            raise ServingError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length) if length else b""
+        self._send(
+            status, json.dumps(payload).encode("utf-8"), "application/json", extra
+        )
 
     def _fail(self, exc: Exception) -> None:
         status = exc.status if isinstance(exc, ServingError) else 400
-        body = json.dumps({"error": str(exc)}).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        extra: dict[str, str] | None = None
         retry_after = getattr(exc, "retry_after_s", None)
         if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, round(retry_after))))
-        self.end_headers()
-        self.wfile.write(body)
+            extra = {"Retry-After": str(max(1, round(retry_after)))}
+        self._send_json(status, {"error": str(exc)}, extra)
+
+    def _content_length(self) -> int:
+        """The request's ``Content-Length``, refused unless 0..cap.
+
+        A refused body stays unread, so the connection is closed after
+        the error: a keep-alive client must not desynchronize on the
+        leftover bytes being parsed as the next request line. A negative
+        length is refused too — ``rfile.read(-1)`` would block until the
+        peer closes.
+        """
+        raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ServingError(400, f"invalid Content-Length {raw!r}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServingError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        return length
+
+    def _read_body(self) -> bytes:
+        length = self._content_length()
+        return self.rfile.read(length) if length else b""
+
+    def _stream_body_reader(self) -> Any:
+        """``read(n)`` callable over the raw request body bytes."""
+        if self.headers.get("Transfer-Encoding", "").lower() == "chunked":
+            return _ChunkedBodyReader(self.rfile, MAX_BODY_BYTES)
+        return _BoundedBodyReader(self.rfile, self._content_length())
+
+    def _drain_body(self, body: Any) -> None:
+        """Consume the rest of a request body after a failure."""
+        budget = MAX_BODY_BYTES
+        try:
+            while budget > 0:
+                piece = body.read(min(65536, budget))
+                if not piece:
+                    return
+                budget -= len(piece)
+        except Exception:
+            pass
+        self.close_connection = True
+
+    def _request_deadline(self) -> Deadline | None:
+        """Parse and pre-enforce the request's ``X-Deadline-Ms`` budget.
+
+        Runs before the body is read or any buffer allocated: work
+        whose budget is already spent is refused with a 504 — the
+        client gave up, so computing the answer only burns capacity.
+        The unread body would desync keep-alive, hence the sever. At
+        the proxy the same budget is decremented across every
+        downstream hop: each hop sends the *remaining* milliseconds.
+        """
+        try:
+            deadline = Deadline.from_header(self.headers.get(DEADLINE_HEADER))
+        except ValueError as exc:
+            raise ServingError(
+                400, f"invalid {DEADLINE_HEADER} header: {exc}"
+            ) from None
+        if deadline is not None and deadline.expired:
+            self.close_connection = True
+            raise ServingError(504, "deadline exhausted before processing")
+        return deadline
+
+
+class _Handler(_BaseHandler):
+    server: AssignmentServer  # narrowed for type checkers
+
+    # -- plumbing ------------------------------------------------------ #
+
+    def address_string(self) -> str:
+        client = self.client_address
+        # AF_UNIX peers have no (host, port) pair — client_address is ''.
+        return client[0] if isinstance(client, tuple) and client else "uds"
 
     def _sever_connection(self) -> None:
         """Cut the socket dead mid-exchange (injected fault only)."""
@@ -760,25 +826,6 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
             self.connection.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-
-    def _request_deadline(self) -> Deadline | None:
-        """Parse and pre-enforce the request's ``X-Deadline-Ms`` budget.
-
-        Runs before the body is read or any buffer allocated: work
-        whose budget is already spent is refused with a 504 — the
-        client gave up, so computing the answer only burns capacity.
-        The unread body would desync keep-alive, hence the sever.
-        """
-        try:
-            deadline = Deadline.from_header(self.headers.get(DEADLINE_HEADER))
-        except ValueError as exc:
-            raise ServingError(
-                400, f"invalid {DEADLINE_HEADER} header: {exc}"
-            ) from None
-        if deadline is not None and deadline.expired:
-            self.close_connection = True
-            raise ServingError(504, "deadline exhausted before processing")
-        return deadline
 
     # -- endpoints ----------------------------------------------------- #
 
@@ -809,7 +856,7 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
                             time.monotonic() - self.server.started_at, 3
                         ),
                     },
-                    snap.version,
+                    {VERSION_HEADER: snap.version},
                 )
             elif self.path == "/model":
                 snap = self.server.snapshot()
@@ -828,7 +875,7 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
                             "distances": True,
                         },
                     },
-                    snap.version,
+                    {VERSION_HEADER: snap.version},
                 )
             else:
                 raise ServingError(404, f"unknown path {self.path!r}")
@@ -849,7 +896,9 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
                 )
                 snap = self.server.snapshot()
                 self._send_json(
-                    200, {"version": snap.version, "changed": changed}, snap.version
+                    200,
+                    {"version": snap.version, "changed": changed},
+                    {VERSION_HEADER: snap.version},
                 )
             else:
                 raise ServingError(404, f"unknown path {self.path!r}")
@@ -906,7 +955,7 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
             out = io.BytesIO()
             np.save(out, labels, allow_pickle=False)
             payload = out.getvalue()
-            self._send(200, payload, NPY_CONTENT_TYPE, snap.version)
+            self._send(200, payload, NPY_CONTENT_TYPE, {VERSION_HEADER: snap.version})
         else:
             payload = json.dumps(
                 {
@@ -915,7 +964,9 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
                     "labels": labels.tolist(),
                 }
             ).encode("utf-8")
-            self._send(200, payload, "application/json", snap.version)
+            self._send(
+                200, payload, "application/json", {VERSION_HEADER: snap.version}
+            )
         server = self.server
         server._m_latency.labels(mode=mode).observe(time.perf_counter() - start)
         server._m_rows.labels(mode=mode).inc(float(labels.shape[0]))
@@ -998,29 +1049,6 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
                 bytes_in=reader.total_bytes,
                 bytes_out=len(payload),
             )
-
-    def _stream_body_reader(self) -> Any:
-        """``read(n)`` callable over the raw request body bytes."""
-        if self.headers.get("Transfer-Encoding", "").lower() == "chunked":
-            return _ChunkedBodyReader(self.rfile, MAX_BODY_BYTES)
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            raise ServingError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return _BoundedBodyReader(self.rfile, length)
-
-    def _drain_body(self, body: Any) -> None:
-        """Consume the rest of a request body after a failure."""
-        budget = MAX_BODY_BYTES
-        try:
-            while budget > 0:
-                piece = body.read(min(65536, budget))
-                if not piece:
-                    return
-                budget -= len(piece)
-        except Exception:
-            pass
-        self.close_connection = True
 
     def _do_assign_stream(
         self, snap: _Snapshot, start: float, span: Any

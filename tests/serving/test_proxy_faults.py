@@ -7,6 +7,8 @@ never a silently wrong or partial response.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 import repro.serving.proxy as proxy_module
 from repro.api import ClusterModel, RunConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.obs.prometheus import parse_text
 from repro.serving import (
     FleetProxy,
     FleetSupervisor,
@@ -22,6 +25,7 @@ from repro.serving import (
     ServingClient,
 )
 from repro.serving.proxy import WORKER_HEADER
+from repro.serving.server import VERSION_HEADER
 
 D = 4
 ROWS, CHUNK = 40, 8
@@ -128,3 +132,69 @@ def test_multi_lane_disconnect_still_bit_identical(fleet, monkeypatch):
             response = client.assign_stream(probe, chunk_size=CHUNK)
             np.testing.assert_array_equal(response.labels, model.predict(probe))
             assert response.version == version
+
+
+# -- npy bodies on the dealt path -------------------------------------- #
+#
+# An npy body is dealt as a one-frame stream. Shrinking DEAL_SLICE_BYTES
+# to one CHUNK of rows reslices the ROWS-row body into N_FRAMES frames,
+# and MIN_DEAL_BYTES=1 opens the second lane at once, so the body spans
+# both workers exactly like the streamed requests above.
+
+
+@pytest.fixture
+def dealt_npy(monkeypatch):
+    monkeypatch.setattr(proxy_module, "MIN_DEAL_BYTES", 1)
+    monkeypatch.setattr(proxy_module, "DEAL_SLICE_BYTES", CHUNK * D * 8)
+
+
+def _post_npy(client, points):
+    status, headers, payload = client.request_raw(
+        "POST", "/assign", _npy_bytes(points), "application/x-npy"
+    )
+    assert status == 200, payload
+    return headers, np.load(io.BytesIO(payload), allow_pickle=False)
+
+
+def _lane_replays(client):
+    _, _, payload = client.request_raw("GET", "/metrics")
+    families = {f.name: f for f in parse_text(payload.decode("utf-8"))}
+    return sum(s.value for s in families["repro_proxy_lane_replays_total"].samples)
+
+
+def test_npy_body_dealt_across_both_workers_is_bit_identical(fleet, dealt_npy):
+    supervisor, model, version, probe = fleet
+    with FleetProxy(supervisor) as proxy:
+        with ServingClient(url=proxy.url) as client:
+            headers, labels = _post_npy(client, probe)
+    np.testing.assert_array_equal(labels, model.predict(probe))
+    assert headers[VERSION_HEADER] == version
+    assert sorted(headers[WORKER_HEADER].split(",")) == ["0", "1"]
+
+
+def test_npy_body_version_skew_degrades_to_clean_answer(fleet, dealt_npy):
+    supervisor, model, version, probe = fleet
+    plan = FaultPlan([FaultEvent(site="proxy.lane.version", at=0, kind="skew")])
+    with FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
+        with ServingClient(url=proxy.url) as client:
+            headers, labels = _post_npy(client, probe)
+    np.testing.assert_array_equal(labels, model.predict(probe))
+    assert headers[VERSION_HEADER] == version
+
+
+# Lane 0 is dealt frames 0, 2 and 4 of the body: fault each of them.
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_npy_body_dead_lane_replays_on_survivor(fleet, dealt_npy, offset):
+    supervisor, model, version, probe = fleet
+    plan = FaultPlan(
+        [FaultEvent(site="proxy.lane0.frame", at=offset, kind="disconnect")]
+    )
+    with FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
+        with ServingClient(url=proxy.url) as client:
+            headers, labels = _post_npy(client, probe)
+            assert _lane_replays(client) >= 1
+    np.testing.assert_array_equal(labels, model.predict(probe))
+    assert headers[VERSION_HEADER] == version
+    # The poisoned worker stays dead for the injector: only the survivor
+    # can have answered.
+    assert headers[WORKER_HEADER] in {"0", "1"}
